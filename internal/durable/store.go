@@ -265,7 +265,7 @@ func (s *Store) applyRecord(rec any, info *RecoveryInfo) error {
 			if err != nil {
 				return fmt.Errorf("durable: replay unsubscribe %q: %w", m.SQL, err)
 			}
-			if err := s.eng.UnsubscribeMulti(from, mq.WithRestoredIdentity(m.Key, m.Node, "")); err != nil {
+			if err := s.eng.UnsubscribeMulti(from, mq.WithRestoredIdentity(m.Key, m.Node, "", 0)); err != nil {
 				return fmt.Errorf("durable: replay unsubscribe %s: %w", m.Key, err)
 			}
 		} else {
@@ -273,7 +273,7 @@ func (s *Store) applyRecord(rec any, info *RecoveryInfo) error {
 			if err != nil {
 				return fmt.Errorf("durable: replay unsubscribe %q: %w", m.SQL, err)
 			}
-			if err := s.eng.Unsubscribe(from, q.WithRestoredIdentity(m.Key, m.Node, "")); err != nil {
+			if err := s.eng.Unsubscribe(from, q.WithRestoredIdentity(m.Key, m.Node, "", 0)); err != nil {
 				return fmt.Errorf("durable: replay unsubscribe %s: %w", m.Key, err)
 			}
 		}

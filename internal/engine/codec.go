@@ -979,7 +979,7 @@ func decodeMultiQuery(r *wire.Reader, catalog *relation.Catalog) (*query.MultiQu
 			return nil, fmt.Errorf("engine: orientation marker %q matches neither chain endpoint", first)
 		}
 	}
-	return mq.WithInsT(insT).WithRestoredIdentity(key, sub, ip), nil
+	return mq.WithRestoredIdentity(key, sub, ip, insT), nil
 }
 
 //wire:field dec mRewritten Key Orig Stage Acc WantRel WantAttr WantValue

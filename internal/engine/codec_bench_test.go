@@ -1,0 +1,143 @@
+package engine
+
+import (
+	"testing"
+
+	"cqjoin/internal/chord"
+	"cqjoin/internal/relation"
+	"cqjoin/internal/wire"
+)
+
+// decodeFixture returns the encoding of the first codec fixture of the
+// given concrete type.
+func decodeFixture[M chord.Message](tb testing.TB) (*relation.Catalog, []byte) {
+	tb.Helper()
+	catalog, msgs := codecFixtures(tb)
+	for _, msg := range msgs {
+		if _, ok := msg.(M); ok {
+			var w wire.Buffer
+			if err := EncodeMessage(&w, msg); err != nil {
+				tb.Fatal(err)
+			}
+			return catalog, w.Bytes()
+		}
+	}
+	tb.Fatal("no fixture of the requested type")
+	return nil, nil
+}
+
+// BenchmarkDecodeMessage measures decoding one message of each kind that
+// dominates a SAI workload's traffic.
+func BenchmarkDecodeMessage(b *testing.B) {
+	for _, c := range []struct {
+		name  string
+		frame func(testing.TB) (*relation.Catalog, []byte)
+	}{
+		{kindJoin, decodeFixture[joinMsg]},
+		{kindVLIndex, decodeFixture[vlIndexMsg]},
+		{kindNotify, decodeFixture[notifyMsg]},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			catalog, frame := c.frame(b)
+			var r wire.Reader
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				r.Reset(frame)
+				if _, err := DecodeMessage(&r, catalog); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// joinFrameAllocCeiling bounds the allocations of decoding the two-rewrite
+// join fixture once its query text and tuple schemas are interned: 18 at
+// the time of writing — per rewrite the rewritten struct, its key, want
+// relation and attribute, the decoded query copy with its three identity
+// strings, and the trigger tuple with its values. Re-parsing the SQL costs
+// about 30 allocations per rewrite and rebuilding a schema about 5, so
+// either regression blows the ceiling.
+const joinFrameAllocCeiling = 24
+
+func TestDecodeJoinFrameAllocs(t *testing.T) {
+	catalog, frame := decodeFixture[joinMsg](t)
+	var r wire.Reader
+	decode := func() {
+		r.Reset(frame)
+		if _, err := DecodeMessage(&r, catalog); err != nil {
+			t.Fatal(err)
+		}
+	}
+	decode() // populate the intern tables
+	if got := testing.AllocsPerRun(100, decode); got > joinFrameAllocCeiling {
+		t.Fatalf("decoding a join frame allocates %.0f times, ceiling %d", got, joinFrameAllocCeiling)
+	}
+}
+
+// snapshotFixture runs a small SAI workload with stored rewrites and a
+// notification sink, and returns the encoded snapshot as a checkpoint
+// file holds it.
+func snapshotFixture(tb testing.TB) (*relation.Catalog, []byte, [][]byte, []string) {
+	tb.Helper()
+	env := newTestEnv(tb, 32, Config{Algorithm: SAI, Seed: 3})
+	sqls := []string{
+		`SELECT R.A, S.D FROM R, S WHERE R.B = S.E`,
+		`SELECT R.A, S.F FROM R, S WHERE R.C = S.E AND S.F >= 1`,
+		`SELECT R.B, S.D FROM R, S WHERE R.A = S.D`,
+	}
+	for i := 0; i < 24; i++ {
+		env.subscribe(tb, i, sqls[i%len(sqls)])
+	}
+	for i := 0; i < 150; i++ {
+		v := float64(i % 7)
+		env.publish(tb, i, rTuple(env, float64(i), v, float64(i%5)))
+		env.publish(tb, i+1, sTuple(env, float64(i%4), v, float64(i%3)))
+	}
+	meta, nodes := env.eng.ExportSnapshot(nil)
+	enc := func(msg chord.Message) []byte {
+		var w wire.Buffer
+		if err := EncodeMessage(&w, msg); err != nil {
+			tb.Fatal(err)
+		}
+		return w.Bytes()
+	}
+	var encNodes [][]byte
+	var keys []string
+	for _, ns := range nodes {
+		encNodes = append(encNodes, enc(ns.Msg))
+		keys = append(keys, ns.Key)
+	}
+	return env.catalog, enc(meta), encNodes, keys
+}
+
+// BenchmarkRestoreSnapshot measures recovering an engine from an encoded
+// snapshot: decoding every section and merging it into a fresh overlay.
+func BenchmarkRestoreSnapshot(b *testing.B) {
+	catalog, meta, nodes, keys := snapshotFixture(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		net := chord.New(chord.Config{})
+		net.AddNodes("peer", 32)
+		eng := New(net, catalog, Config{Algorithm: SAI, Seed: 3})
+		b.StartTimer()
+
+		m, err := DecodeMessage(wire.NewReader(meta), catalog)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ns := make([]NodeSnapshot, len(nodes))
+		for j, enc := range nodes {
+			if ns[j].Msg, err = DecodeMessage(wire.NewReader(enc), catalog); err != nil {
+				b.Fatal(err)
+			}
+			ns[j].Key = keys[j]
+		}
+		if err := eng.RestoreSnapshot(m, ns); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -17,7 +17,7 @@ func codecFixtures(t testing.TB) (*relation.Catalog, []chord.Message) {
 	q := env.subscribe(t, 0, `SELECT R.A, S.D FROM R, S WHERE R.B = S.E AND S.F >= 1`)
 	tu := rTuple(env, 1, 7, 2).WithPubT(9)
 	su := sTuple(env, 3, 7, 1).WithPubT(11)
-	proj, err := tu.Project(q.NeededAttrs("R"))
+	proj, err := q.Project(tu)
 	if err != nil {
 		t.Fatal(err)
 	}

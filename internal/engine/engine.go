@@ -181,7 +181,7 @@ type Engine struct {
 	subs      map[string][]string   // query key -> attribute-level index inputs
 	rng       *rand.Rand
 	sink      []Notification
-	delivered map[string]bool // full match identities already delivered
+	delivered map[deliveryID]struct{} // full match identities already delivered
 	onNotify  func(Notification)
 	hasMulti  bool // a multi-way pipeline is registered (see SubscribeMulti)
 
@@ -210,7 +210,7 @@ func New(net *chord.Network, catalog *relation.Catalog, cfg Config) *Engine {
 		seq:       make(map[string]int),
 		subs:      make(map[string][]string),
 		rng:       rand.New(rand.NewSource(cfg.Seed)),
-		delivered: make(map[string]bool),
+		delivered: make(map[deliveryID]struct{}),
 		condSeen:  make(map[string]bool),
 	}
 	if cfg.HotKeyThreshold > 0 && cfg.Algorithm == SAI {
@@ -310,19 +310,30 @@ func (e *Engine) ResetNotifications() {
 	e.sink = nil
 }
 
-// deliveryKey is the full match identity of a notification: subscriber,
+// deliveryID is the full match identity of a notification: subscriber,
 // projected content, and the publication times of the matched pair. Two
 // distinct tuple pairs can project to equal values, so the content key
 // alone is NOT an identity; publication times are (the logical clock gives
 // every published tuple a unique timestamp).
+type deliveryID struct {
+	subscriber, content string
+	leftPubT, rightPubT int64
+}
+
+func deliveryIDOf(n Notification) deliveryID {
+	return deliveryID{subscriber: n.Subscriber, content: n.ContentKey(), leftPubT: n.LeftPubT, rightPubT: n.RightPubT}
+}
+
+// deliveryKey renders a notification's deliveryID as the string the
+// oracle's delivery sets hold (see DeliveryKeys).
 func deliveryKey(n Notification) string {
 	return fmt.Sprintf("%s|%s|%d|%d", n.Subscriber, n.ContentKey(), n.LeftPubT, n.RightPubT)
 }
 
 func (e *Engine) record(n Notification) {
-	key := deliveryKey(n)
+	key := deliveryIDOf(n)
 	e.mu.Lock()
-	if e.delivered[key] {
+	if _, dup := e.delivered[key]; dup {
 		// A duplicated or replayed delivery of a match the subscriber has
 		// already consumed: suppress it. This is the receiver-side half of
 		// at-least-once delivery.
@@ -330,7 +341,7 @@ func (e *Engine) record(n Notification) {
 		e.net.Traffic().RecordDuplicate("notification")
 		return
 	}
-	e.delivered[key] = true
+	e.delivered[key] = struct{}{}
 	e.sink = append(e.sink, n)
 	fn := e.onNotify
 	e.mu.Unlock()

@@ -263,7 +263,7 @@ func advanceMulti(mq *query.MultiQuery, prev *mRewritten, t *relation.Tuple) (*m
 		acc = append(acc, prev.Acc...)
 		key = prev.Key
 	}
-	proj, err := t.Project(mq.NeededAttrs(t.Relation()))
+	proj, err := mq.Project(t)
 	if err != nil {
 		return nil, err
 	}
@@ -300,7 +300,7 @@ func matchMulti(rw *mRewritten, t *relation.Tuple) (n Notification, out *outboun
 	}
 	if rw.Stage == mq.Arity()-1 {
 		// Chain complete: build the notification.
-		proj, err := t.Project(mq.NeededAttrs(t.Relation()))
+		proj, err := mq.Project(t)
 		if err != nil {
 			return Notification{}, nil, false
 		}

@@ -174,7 +174,7 @@ func (st *nodeState) rewriteGroup(b *alBucket, g *queryGroup, triggered []*query
 			}
 			b.sentRewrites[key] = true
 		}
-		proj, err := t.Project(q.NeededAttrs(t.Relation()))
+		proj, err := q.Project(t)
 		if err != nil {
 			continue
 		}

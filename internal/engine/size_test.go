@@ -13,7 +13,7 @@ func TestAllMessagesImplementSizer(t *testing.T) {
 	env := newTestEnv(t, 32, Config{Algorithm: SAI})
 	q := env.subscribe(t, 0, `SELECT R.A, S.D FROM R, S WHERE R.B = S.E`)
 	tu := rTuple(env, 1, 7, 0).WithPubT(5)
-	proj, err := tu.Project(q.NeededAttrs("R"))
+	proj, err := q.Project(tu)
 	if err != nil {
 		t.Fatal(err)
 	}

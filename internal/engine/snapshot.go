@@ -253,8 +253,11 @@ func (e *Engine) RestoreSnapshot(meta chord.Message, nodes []NodeSnapshot) error
 	}
 	e.hasMulti = m.Multi
 	e.sink = append(e.sink, m.Sink...)
+	if len(e.delivered) == 0 {
+		e.delivered = make(map[deliveryID]struct{}, len(m.Sink))
+	}
 	for _, n := range m.Sink {
-		e.delivered[deliveryKey(n)] = true
+		e.delivered[deliveryIDOf(n)] = struct{}{}
 	}
 	e.mu.Unlock()
 	e.multiOn.Store(m.Multi)

@@ -3,6 +3,7 @@ package query
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"cqjoin/internal/relation"
 )
@@ -40,6 +41,7 @@ type MultiQuery struct {
 	links   []Link
 	filters []Predicate
 	text    string
+	plan    *multiPlan // built on first use, shared by every With* copy
 }
 
 // ParseMulti compiles a chain equi-join over two or more relations. The
@@ -235,9 +237,7 @@ func (p *parser) parseMultiWhere(sel []Attr) (*MultiQuery, error) {
 	if endpoints[1] < start {
 		start = endpoints[1]
 	}
-	var mq MultiQuery
-	mq.sel = sel
-	mq.filters = filters
+	mq := MultiQuery{sel: sel, filters: filters, plan: &multiPlan{}}
 	used := make([]bool, len(edges))
 	cur := start
 	mq.rels = append(mq.rels, p.schemaOf(cur))
@@ -295,14 +295,15 @@ func (mq *MultiQuery) WithInsT(insT int64) *MultiQuery {
 	return &cp
 }
 
-// WithRestoredIdentity returns a copy carrying a previously assigned key
-// and subscriber identity, used when a query is decoded from its wire
-// form.
-func (mq *MultiQuery) WithRestoredIdentity(key, subscriberKey, subscriberIP string) *MultiQuery {
+// WithRestoredIdentity returns a copy carrying a previously assigned key,
+// subscriber identity and insertion time, used when a query is decoded
+// from its wire form.
+func (mq *MultiQuery) WithRestoredIdentity(key, subscriberKey, subscriberIP string, insT int64) *MultiQuery {
 	cp := *mq
 	cp.key = key
 	cp.subscriber = subscriberKey
 	cp.subscriberIP = subscriberIP
+	cp.insT = insT
 	return &cp
 }
 
@@ -349,6 +350,9 @@ func (mq *MultiQuery) Reverse() *MultiQuery {
 	for i, l := range mq.links {
 		cp.links[len(mq.links)-1-i] = Link{L: l.R, R: l.L}
 	}
+	// The flipped chain renders its condition and orders each relation's
+	// needed attributes differently: it gets a plan of its own.
+	cp.plan = &multiPlan{}
 	return &cp
 }
 
@@ -472,12 +476,47 @@ func (mq *MultiQuery) ProjectNotification(tuples []*relation.Tuple) ([]relation.
 }
 
 // ConditionKey renders the chain canonically for grouping.
-func (mq *MultiQuery) ConditionKey() string {
-	parts := make([]string, len(mq.links))
-	for i, l := range mq.links {
-		parts[i] = l.L.String() + " = " + l.R.String()
+func (mq *MultiQuery) ConditionKey() string { return mq.planned().cond }
+
+// Project restricts tuple t to the attributes of its relation that the
+// query needs (NeededAttrs), through the projection the query's plan
+// prepared for that relation.
+func (mq *MultiQuery) Project(t *relation.Tuple) (*relation.Tuple, error) {
+	i := mq.relIndex(t.Relation())
+	if i < 0 {
+		return nil, fmt.Errorf("query: relation %s is not part of the chain %q", t.Relation(), mq.ConditionKey())
 	}
-	return strings.Join(parts, " AND ")
+	p := mq.planned()
+	if p.projErr[i] != nil {
+		return nil, p.projErr[i]
+	}
+	return p.proj[i].Apply(t)
+}
+
+// multiPlan is a MultiQuery's counterpart of plan: the condition key and
+// one projection per relation, aligned with Rels().
+type multiPlan struct {
+	once    sync.Once
+	cond    string
+	proj    []*relation.Projection
+	projErr []error
+}
+
+func (mq *MultiQuery) planned() *multiPlan {
+	p := mq.plan
+	p.once.Do(func() {
+		parts := make([]string, len(mq.links))
+		for i, l := range mq.links {
+			parts[i] = l.L.String() + " = " + l.R.String()
+		}
+		p.cond = strings.Join(parts, " AND ")
+		p.proj = make([]*relation.Projection, len(mq.rels))
+		p.projErr = make([]error, len(mq.rels))
+		for i, r := range mq.rels {
+			p.proj[i], p.projErr[i] = relation.NewProjection(r, mq.NeededAttrs(r.Name()))
+		}
+	})
+	return p
 }
 
 // String renders the query's SQL text.

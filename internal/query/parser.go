@@ -260,8 +260,14 @@ func (p *parser) parseWhere(sel []Attr) (*Query, error) {
 		}
 	}
 
-	var q Query
-	q.sel = sel
+	// The query and its plan share one allocation: subscribing parses
+	// every query, so the plan must not add to the parse's cost.
+	qp := new(struct {
+		q Query
+		p plan
+	})
+	q := &qp.q
+	q.sel, q.plan = sel, &qp.p
 	joinFound := false
 	for _, c := range cmps {
 		lRels, rRels := Relations(c.l), Relations(c.r)
@@ -299,7 +305,7 @@ func (p *parser) parseWhere(sel []Attr) (*Query, error) {
 			return nil, fmt.Errorf("query: SELECT references %s, not a FROM relation", a)
 		}
 	}
-	return &q, nil
+	return q, nil
 }
 
 func (p *parser) schemaOf(rel string) *relation.Schema {

@@ -310,11 +310,11 @@ func TestAccessorsAndRestoredIdentity(t *testing.T) {
 	if len(q.Filters()) != 1 {
 		t.Fatalf("Filters = %v", q.Filters())
 	}
-	r := q.WithRestoredIdentity("k#9", "subKey", "ip9")
-	if r.Key() != "k#9" || r.Subscriber() != "subKey" || r.SubscriberIP() != "ip9" {
-		t.Fatalf("restored identity wrong: %q %q %q", r.Key(), r.Subscriber(), r.SubscriberIP())
+	r := q.WithRestoredIdentity("k#9", "subKey", "ip9", 17)
+	if r.Key() != "k#9" || r.Subscriber() != "subKey" || r.SubscriberIP() != "ip9" || r.InsT() != 17 {
+		t.Fatalf("restored identity wrong: %q %q %q %d", r.Key(), r.Subscriber(), r.SubscriberIP(), r.InsT())
 	}
-	if q.Key() != "" {
+	if q.Key() != "" || q.InsT() != 0 {
 		t.Fatal("WithRestoredIdentity mutated the original")
 	}
 
@@ -322,9 +322,61 @@ func TestAccessorsAndRestoredIdentity(t *testing.T) {
 	if mq.Text() == "" || len(mq.Select()) != 1 {
 		t.Fatalf("multi accessors wrong: %q %v", mq.Text(), mq.Select())
 	}
-	mr := mq.WithRestoredIdentity("k#1", "s", "ip")
-	if mr.Key() != "k#1" || mr.Subscriber() != "s" || mr.SubscriberIP() != "ip" {
+	mr := mq.WithRestoredIdentity("k#1", "s", "ip", 3)
+	if mr.Key() != "k#1" || mr.Subscriber() != "s" || mr.SubscriberIP() != "ip" || mr.InsT() != 3 {
 		t.Fatal("multi restored identity wrong")
+	}
+}
+
+func TestPlanSharedByCopiesAndMatchesNeededAttrs(t *testing.T) {
+	cat := testCatalog()
+	q := MustParse(cat, `SELECT R.A, S.F FROM R, S WHERE R.B + R.C = S.E AND S.F >= 1`)
+	cp := q.WithIdentity("n1", "ip1", 1).WithInsT(5)
+	if cp.plan != q.plan {
+		t.Fatal("With* copies do not share the parsed query's plan")
+	}
+	if cp.ConditionKey() != "(R.B + R.C) = S.E" {
+		t.Fatalf("ConditionKey = %q", cp.ConditionKey())
+	}
+	if got := q.SideAttrs(SideLeft); strings.Join(got, ",") != "B,C" {
+		t.Fatalf("SideAttrs(left) = %v", got)
+	}
+	for _, rel := range []string{"R", "S"} {
+		sch := cat.Lookup(rel)
+		vals := make([]relation.Value, sch.Arity())
+		for i := range vals {
+			vals[i] = relation.N(float64(i + 1))
+		}
+		tu := relation.MustTuple(sch, vals...).WithPubT(9)
+		got, err := cp.Project(tu)
+		if err != nil {
+			t.Fatalf("Project(%s): %v", rel, err)
+		}
+		ref, err := relation.NewProjection(sch, q.NeededAttrs(rel))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _ := ref.Apply(tu)
+		if got.String() != want.String() || got.PubT() != 9 ||
+			strings.Join(got.Schema().Attrs(), ",") != strings.Join(want.Schema().Attrs(), ",") {
+			t.Fatalf("Project(%s) = %v %v, want %v %v", rel, got, got.Schema(), want, want.Schema())
+		}
+		again, _ := q.Project(tu)
+		if again.Schema() != got.Schema() {
+			t.Fatalf("Project(%s) rebuilt the projection schema", rel)
+		}
+	}
+	if _, err := q.Project(relation.MustTuple(relation.MustSchema("X", "A"), relation.N(1))); err == nil {
+		t.Fatal("Project accepted a tuple of an unrelated relation")
+	}
+
+	mq := MustParseMulti(cat, `SELECT R.A FROM R, S WHERE R.B = S.E`)
+	rev := mq.Reverse()
+	if rev.plan == mq.plan || mq.WithInsT(2).plan != mq.plan {
+		t.Fatal("multi plans: copies must share, reversals must not")
+	}
+	if rev.ConditionKey() != "S.E = R.B" || mq.ConditionKey() != "R.B = S.E" {
+		t.Fatalf("multi ConditionKey = %q / %q", mq.ConditionKey(), rev.ConditionKey())
 	}
 }
 

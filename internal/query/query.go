@@ -3,6 +3,7 @@ package query
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"sync/atomic"
 
 	"cqjoin/internal/relation"
@@ -70,6 +71,7 @@ type Query struct {
 	rightRel *relation.Schema
 	filters  []Predicate
 	text     string
+	plan     *plan // built on first use, shared by every With* copy
 
 	// wireSize memoizes the query's wire-encoded length; 0 means not yet
 	// computed. Accessed atomically because the query value embedded in
@@ -91,13 +93,14 @@ func (q *Query) WithIdentity(subscriberKey, subscriberIP string, seq int) *Query
 }
 
 // WithRestoredIdentity returns a copy of q carrying a previously assigned
-// key and subscriber identity, used when a query is decoded from its wire
-// form and its original Key(q) must be preserved.
-func (q *Query) WithRestoredIdentity(key, subscriberKey, subscriberIP string) *Query {
+// key, subscriber identity and insertion time, used when a query is
+// decoded from its wire form and its original Key(q) must be preserved.
+func (q *Query) WithRestoredIdentity(key, subscriberKey, subscriberIP string, insT int64) *Query {
 	cp := *q
 	cp.key = key
 	cp.subscriber = subscriberKey
 	cp.subscriberIP = subscriberIP
+	cp.insT = insT
 	cp.wireSize = 0
 	return &cp
 }
@@ -206,18 +209,9 @@ func (q *Query) Type() Type {
 }
 
 // SideAttrs returns the distinct attribute names the given side's
-// expression references, candidates for the role of index attribute.
-func (q *Query) SideAttrs(s Side) []string {
-	seen := make(map[string]bool)
-	var out []string
-	for _, a := range Attrs(q.Expr(s)) {
-		if !seen[a.Name] {
-			seen[a.Name] = true
-			out = append(out, a.Name)
-		}
-	}
-	return out
-}
+// expression references, candidates for the role of index attribute. The
+// slice is shared by every copy of the query; callers must not modify it.
+func (q *Query) SideAttrs(s Side) []string { return q.planned().sideAttrs[s] }
 
 // SingleAttr returns the side's unique join attribute for a T1-style side,
 // or an error when the side references several attributes.
@@ -246,9 +240,7 @@ func (q *Query) InvertSide(s Side, target relation.Value) (relation.Value, error
 // ConditionKey renders the join condition canonically. Queries with equal
 // ConditionKey have equivalent join conditions and are grouped together at
 // rewriter and evaluator nodes (Section 4.3.5).
-func (q *Query) ConditionKey() string {
-	return q.left.String() + " = " + q.right.String()
-}
+func (q *Query) ConditionKey() string { return q.planned().cond }
 
 // NeededAttrs returns the attributes of the named relation required to
 // finish evaluating the query after the other relation's side is fixed:
@@ -284,6 +276,67 @@ func (q *Query) NeededAttrs(rel string) []string {
 		}
 	}
 	return out
+}
+
+// Project restricts tuple t to the attributes of its relation that the
+// query needs (NeededAttrs), through the projection the query's plan
+// prepared for that relation.
+func (q *Query) Project(t *relation.Tuple) (*relation.Tuple, error) {
+	s, err := q.SideFor(t.Relation())
+	if err != nil {
+		return nil, err
+	}
+	p := q.projections()
+	if p.projErr[s] != nil {
+		return nil, p.projErr[s]
+	}
+	return p.proj[s].Apply(t)
+}
+
+// plan holds what is fixed per parsed query but used on every tuple the
+// query meets: its condition key, each side's join attributes and each
+// relation's projection. Parse attaches an empty plan and each part is
+// filled on first use — the condition key and join attributes when the
+// query is indexed, the projections when a tuple first triggers it — so
+// subscribing pays no more than before. The With* copies share the
+// pointer, so a query and all its identified and decoded copies compute
+// each part once.
+type plan struct {
+	once      sync.Once
+	cond      string
+	sideAttrs [2][]string // indexed by Side
+
+	projOnce sync.Once
+	proj     [2]*relation.Projection
+	projErr  [2]error
+}
+
+func (q *Query) planned() *plan {
+	p := q.plan
+	p.once.Do(func() {
+		p.cond = q.left.String() + " = " + q.right.String()
+		for _, s := range []Side{SideLeft, SideRight} {
+			seen := make(map[string]bool)
+			for _, a := range Attrs(q.Expr(s)) {
+				if !seen[a.Name] {
+					seen[a.Name] = true
+					p.sideAttrs[s] = append(p.sideAttrs[s], a.Name)
+				}
+			}
+		}
+	})
+	return p
+}
+
+func (q *Query) projections() *plan {
+	p := q.plan
+	p.projOnce.Do(func() {
+		for _, s := range []Side{SideLeft, SideRight} {
+			rel := q.Rel(s)
+			p.proj[s], p.projErr[s] = relation.NewProjection(rel, q.NeededAttrs(rel.Name()))
+		}
+	})
+	return p
 }
 
 // SelectValuesFrom extracts the values of the SELECT attributes that belong

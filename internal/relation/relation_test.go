@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -176,19 +177,44 @@ func TestTupleWithPubT(t *testing.T) {
 
 func TestTupleProject(t *testing.T) {
 	s := MustSchema("R", "A", "B", "C")
-	tp := MustTuple(s, N(1), N(2), N(3)).WithPubT(7)
-	p, err := tp.Project([]string{"C", "A"})
+	p, err := NewProjection(s, []string{"C", "A"})
 	if err != nil {
-		t.Fatalf("Project: %v", err)
+		t.Fatalf("NewProjection: %v", err)
 	}
-	if p.Schema().Arity() != 2 || !p.MustValue("C").Equal(N(3)) || !p.MustValue("A").Equal(N(1)) {
-		t.Fatal("projection wrong")
+	a, _ := p.Apply(MustTuple(s, N(1), N(2), N(3)).WithPubT(7))
+	if a.Schema() != p.Schema() || a.Schema().Arity() != 2 {
+		t.Fatal("projected tuple does not carry the projection's schema")
 	}
-	if p.PubT() != 7 {
+	if !a.MustValue("C").Equal(N(3)) || !a.MustValue("A").Equal(N(1)) {
+		t.Fatalf("projection wrong: %v", a)
+	}
+	if a.PubT() != 7 {
 		t.Fatal("projection lost pubT")
 	}
-	if _, err := tp.Project([]string{"Z"}); err == nil {
+	// A tuple of the same relation under another layout (as decoded off
+	// the wire) projects by name, not by the precomputed positions.
+	b, _ := p.Apply(MustTuple(MustSchema("R", "C", "B", "A"), N(30), N(20), N(10)))
+	if b.Schema() != p.Schema() || !b.MustValue("C").Equal(N(30)) || !b.MustValue("A").Equal(N(10)) {
+		t.Fatalf("projection of a relaid tuple wrong: %v", b)
+	}
+	if _, err := p.Apply(MustTuple(MustSchema("S", "A", "C"), N(1), N(2))); err == nil {
+		t.Fatal("projection applied to another relation's tuple")
+	}
+	if _, err := p.Apply(MustTuple(MustSchema("R", "A", "B"), N(1), N(2))); err == nil {
+		t.Fatal("projection applied to a tuple missing an attribute")
+	}
+	if _, err := NewProjection(s, []string{"Z"}); err == nil {
 		t.Fatal("projection onto unknown attribute accepted")
+	}
+}
+
+func TestNegativeZeroCanonIsZero(t *testing.T) {
+	negZero := N(math.Copysign(0, -1))
+	if !negZero.Equal(N(0)) {
+		t.Fatal("-0 and 0 should be Equal")
+	}
+	if negZero.Canon() != N(0).Canon() || negZero.Canon() != "0" {
+		t.Fatalf("Canon(-0) = %q, want %q", negZero.Canon(), "0")
 	}
 }
 

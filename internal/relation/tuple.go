@@ -25,6 +25,14 @@ type Tuple struct {
 // NewTuple builds a tuple of the given schema. The number of values must
 // match the schema's arity.
 func NewTuple(schema *Schema, values ...Value) (*Tuple, error) {
+	return NewStampedTuple(schema, 0, append([]Value(nil), values...))
+}
+
+// NewStampedTuple builds a tuple of the given schema stamped with
+// publication time pubT. Unlike NewTuple it takes ownership of values: the
+// caller must not modify the slice afterwards. Decoders use it to build a
+// received tuple with a single copy of its values.
+func NewStampedTuple(schema *Schema, pubT int64, values []Value) (*Tuple, error) {
 	if schema == nil {
 		return nil, fmt.Errorf("relation: tuple with nil schema")
 	}
@@ -32,7 +40,7 @@ func NewTuple(schema *Schema, values ...Value) (*Tuple, error) {
 		return nil, fmt.Errorf("relation: tuple of %s needs %d values, got %d",
 			schema.Name(), schema.Arity(), len(values))
 	}
-	return &Tuple{schema: schema, values: append([]Value(nil), values...)}, nil
+	return &Tuple{schema: schema, values: values, pubT: pubT}, nil
 }
 
 // MustTuple is NewTuple that panics on error, for literals in tests and
@@ -91,28 +99,55 @@ func (t *Tuple) WithPubT(ts int64) *Tuple {
 	return &Tuple{schema: t.schema, values: append([]Value(nil), t.values...), pubT: ts}
 }
 
-// Project returns a new single-use tuple restricted to the named attributes
-// in the given order, used by DAI-V which ships "the projection of t on the
-// attributes needed for the evaluation of the join" (Section 4.5).
-func (t *Tuple) Project(attrs []string) (*Tuple, error) {
-	sub, err := NewSchema(t.schema.Name(), attrs...)
+// Projection restricts tuples of one relation to an ordered subset of its
+// attributes, as DAI-V ships "the projection of t on the attributes needed
+// for the evaluation of the join" (Section 4.5). It is prepared once — a
+// query's plan holds one per joined relation — so projecting a tuple
+// builds no schema: every result shares the projection's immutable Schema.
+type Projection struct {
+	schema *Schema
+	pos    []int // attribute positions in the source schema
+}
+
+// NewProjection prepares the restriction of src's tuples to attrs, in the
+// given order.
+func NewProjection(src *Schema, attrs []string) (*Projection, error) {
+	sub, err := NewSchema(src.Name(), attrs...)
 	if err != nil {
 		return nil, err
 	}
-	vals := make([]Value, len(attrs))
+	pos := make([]int, len(attrs))
 	for i, a := range attrs {
-		v, err := t.Value(a)
-		if err != nil {
-			return nil, err
+		if pos[i] = src.AttrIndex(a); pos[i] < 0 {
+			return nil, fmt.Errorf("relation: %s has no attribute %s", src.Name(), a)
 		}
-		vals[i] = v
 	}
-	p, err := NewTuple(sub, vals...)
-	if err != nil {
-		return nil, err
+	return &Projection{schema: sub, pos: pos}, nil
+}
+
+// Schema returns the projected schema.
+func (p *Projection) Schema() *Schema { return p.schema }
+
+// Apply returns a new tuple holding t's values of the projected attributes
+// and t's publication time. t must be of the projection's relation; its
+// schema need not be the source schema (a decoded tuple carries its own),
+// so each precomputed position is checked by name and looked up again when
+// t's layout differs.
+func (p *Projection) Apply(t *Tuple) (*Tuple, error) {
+	if t.schema.name != p.schema.name {
+		return nil, fmt.Errorf("relation: projection of %s applied to a %s tuple", p.schema.name, t.schema.name)
 	}
-	p.pubT = t.pubT
-	return p, nil
+	vals := make([]Value, len(p.pos))
+	for i, j := range p.pos {
+		a := p.schema.attrs[i]
+		if j >= len(t.schema.attrs) || t.schema.attrs[j] != a {
+			if j = t.schema.AttrIndex(a); j < 0 {
+				return nil, fmt.Errorf("relation: %s has no attribute %s", t.schema.name, a)
+			}
+		}
+		vals[i] = t.values[j]
+	}
+	return &Tuple{schema: p.schema, values: vals, pubT: t.pubT}, nil
 }
 
 // String renders the tuple as Relation(v1, v2, ...).

@@ -58,10 +58,14 @@ func (v Value) Num() float64 {
 // Canon renders the value in the canonical string form used to build ring
 // identifiers (VIndex = Hash(R + A + v), Section 4.2). Numbers use the
 // shortest representation that round-trips, so 7 and 7.0 produce the same
-// identifier.
+// identifier. Negative zero renders as "0": it is Equal to zero, so it
+// must name the same identifiers and content keys.
 func (v Value) Canon() string {
 	if v.kind == String {
 		return v.str
+	}
+	if v.num == 0 {
+		return "0"
 	}
 	return strconv.FormatFloat(v.num, 'g', -1, 64)
 }

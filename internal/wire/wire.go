@@ -17,6 +17,9 @@
 //
 // Queries travel as their SQL text and are re-parsed against the catalog on
 // arrival; the parser is the single source of truth for query semantics.
+// Decoding interns parsed queries and tuple schemas (intern.go), so a
+// process parses each query text once per catalog and builds each tuple
+// schema once.
 package wire
 
 import (
@@ -212,10 +215,11 @@ func EncodeTuple(w *Buffer, t *relation.Tuple) {
 	w.PutVarint(t.PubT())
 }
 
-// DecodeTuple reads a tuple encoded by EncodeTuple.
+// DecodeTuple reads a tuple encoded by EncodeTuple. Tuples with the same
+// relation and attribute list share one interned Schema.
 func DecodeTuple(r *Reader) (*relation.Tuple, error) {
-	rel, err := r.String()
-	if err != nil {
+	start := r.off
+	if _, err := r.Bytes(); err != nil {
 		return nil, err
 	}
 	n, err := r.Uvarint()
@@ -227,13 +231,12 @@ func DecodeTuple(r *Reader) (*relation.Tuple, error) {
 		// forged length prefix, not a short read.
 		return nil, fmt.Errorf("wire: implausible tuple arity %d", n)
 	}
-	attrs := make([]string, n)
-	for i := range attrs {
-		if attrs[i], err = r.String(); err != nil {
+	for i := uint64(0); i < n; i++ {
+		if _, err := r.Bytes(); err != nil {
 			return nil, err
 		}
 	}
-	schema, err := relation.NewSchema(rel, attrs...)
+	schema, err := schemas.lookup(r.b[start:r.off])
 	if err != nil {
 		return nil, fmt.Errorf("wire: %w", err)
 	}
@@ -243,15 +246,11 @@ func DecodeTuple(r *Reader) (*relation.Tuple, error) {
 			return nil, err
 		}
 	}
-	t, err := relation.NewTuple(schema, vals...)
-	if err != nil {
-		return nil, fmt.Errorf("wire: %w", err)
-	}
 	pubT, err := r.Varint()
 	if err != nil {
 		return nil, err
 	}
-	return t.WithPubT(pubT), nil
+	return relation.NewStampedTuple(schema, pubT, vals)
 }
 
 // EncodeQuery appends a query: identity and times plus the SQL text, which
@@ -265,7 +264,9 @@ func EncodeQuery(w *Buffer, q *query.Query) {
 }
 
 // DecodeQuery reads a query encoded by EncodeQuery, re-parsing its SQL
-// against the catalog and restoring its identity and insertion time.
+// against the catalog — through the query table, which parses each text
+// once per catalog — and restoring its identity and insertion time on a
+// fresh copy.
 func DecodeQuery(r *Reader, catalog *relation.Catalog) (*query.Query, error) {
 	key, err := r.String()
 	if err != nil {
@@ -283,16 +284,15 @@ func DecodeQuery(r *Reader, catalog *relation.Catalog) (*query.Query, error) {
 	if err != nil {
 		return nil, err
 	}
-	sql, err := r.String()
+	sql, err := r.Bytes()
 	if err != nil {
 		return nil, err
 	}
-	q, err := query.Parse(catalog, sql)
+	q, err := queries.parse(catalog, sql)
 	if err != nil {
 		return nil, fmt.Errorf("wire: re-parse: %w", err)
 	}
-	q = q.WithInsT(insT)
-	return q.WithRestoredIdentity(key, sub, ip), nil
+	return q.WithRestoredIdentity(key, sub, ip, insT), nil
 }
 
 // The Size* functions below compute encoded lengths arithmetically,
