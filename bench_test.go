@@ -238,6 +238,7 @@ func BenchmarkSkewedHotKeys(b *testing.B) {
 			HotKeyReplicas:  4,
 			HotKeyWindow:    1 << 20,
 		}, sc, workload.Params{Theta: load.SkewTheta})
+		r.Eng.KeepNotifications()
 		r.SubscribeT1(sc.Queries)
 		r.ResetMeters()
 		r.PublishTuples(sc.Tuples)
@@ -490,7 +491,7 @@ func BenchmarkTransportLoopback(b *testing.B) {
 		reg, cleanup := loopbackTransport(b, r.Net, r.Gen.Catalog())
 		r.SubscribeT1(sc.Queries)
 		r.PublishTuples(sc.Tuples)
-		notes = len(r.Eng.Notifications())
+		notes = r.Eng.NotificationCount()
 		snap = reg.Snapshot()
 		cleanup()
 		if snap["transport.rpc_failures"] != 0 || snap["transport.decode_errors"] != 0 {

@@ -21,6 +21,7 @@ func Example() {
 		fmt.Println(err)
 		return
 	}
+	cluster.KeepNotifications()
 
 	alice := cluster.Node(0)
 	if _, err := alice.Subscribe(`
@@ -49,6 +50,7 @@ func ExampleNode_Subscribe() {
 		cqjoin.MustSchema("Authors", "Id", "Name", "Surname"),
 	)
 	cluster, _ := cqjoin.NewCluster(cqjoin.Config{Nodes: 64, Catalog: catalog, Seed: 1})
+	cluster.KeepNotifications()
 	cluster.Node(0).Subscribe(`
 		SELECT D.Title, D.Conference
 		FROM Document AS D, Authors AS A
@@ -76,6 +78,7 @@ func ExampleNode_SubscribeMulti() {
 		cqjoin.MustSchema("Clearances", "Container", "Port"),
 	)
 	cluster, _ := cqjoin.NewCluster(cqjoin.Config{Nodes: 64, Catalog: catalog, Seed: 1})
+	cluster.KeepNotifications()
 	cluster.Node(0).SubscribeMulti(`
 		SELECT O.Customer, C.Port
 		FROM Orders AS O, Shipments AS S, Clearances AS C
@@ -106,7 +109,7 @@ func ExampleCluster_FilteringLoad() {
 	}
 	dist := cluster.FilteringLoad()
 	fmt.Printf("nodes that did filtering work: %d of %d\n", dist.NonZero, dist.N)
-	fmt.Printf("notifications delivered: %d\n", len(cluster.Notifications()))
+	fmt.Printf("notifications delivered: %d\n", cluster.NotificationCount())
 	// Output:
 	// nodes that did filtering work: 15 of 32
 	// notifications delivered: 34

@@ -33,9 +33,6 @@ func main() {
 		log.Fatal(err)
 	}
 
-	delivered := 0
-	cluster.OnNotify(func(n cqjoin.Notification) { delivered++ })
-
 	// 200 trading desks install severity-filtered standing queries.
 	for i := 0; i < 200; i++ {
 		desk := cluster.Node(i)
@@ -70,7 +67,7 @@ func main() {
 	}
 	cluster.EvictExpired()
 
-	fmt.Printf("delivered %d notifications to 200 standing queries\n", delivered)
+	fmt.Printf("delivered %d notifications to 200 standing queries\n", cluster.NotificationCount())
 	fmt.Printf("traffic:\n%s\n", cluster.Traffic())
 	fmt.Printf("filtering load: %s\n", cluster.FilteringLoad())
 	fmt.Printf("storage load:   %s\n", cluster.StorageLoad())

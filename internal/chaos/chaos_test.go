@@ -69,6 +69,7 @@ func runChaos(t *testing.T, alg engine.Algorithm, seed int64, faults Config, eve
 		MaxRetries:   6,
 		RetryBackoff: 1,
 	})
+	eng.KeepNotifications()
 	faults.Seed = seed
 	in := New(eng, faults)
 	oracle := engine.NewOracle()
@@ -245,6 +246,7 @@ func TestChaosZeroConfigIsTransparent(t *testing.T) {
 		net := chord.New(chord.Config{})
 		net.AddNodes("peer", 32)
 		eng := engine.New(net, catalog, engine.Config{Algorithm: engine.SAI})
+		eng.KeepNotifications()
 		if install {
 			New(eng, Config{})
 		}

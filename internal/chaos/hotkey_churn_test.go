@@ -45,6 +45,7 @@ func runHotKeyChurn(t *testing.T, seed int64, batches, workers int, churn bool) 
 		HotKeyReplicas:  4,
 		HotKeyWindow:    1 << 20,
 	})
+	eng.KeepNotifications()
 	var in *Injector
 	if churn {
 		faults := protocolFaults()

@@ -814,7 +814,7 @@ func (s *Server) dispatch(req *request, lst *listener) map[string]interface{} {
 		resp := map[string]interface{}{
 			"ok":             true,
 			"nodes":          s.cluster.Size(),
-			"notifications":  len(s.cluster.Notifications()),
+			"notifications":  s.cluster.NotificationCount(),
 			"hops":           tr.TotalHops(),
 			"messages":       tr.TotalMessages(),
 			"bytes":          tr.TotalBytes(),

@@ -19,11 +19,11 @@ func eventOf(m map[string]interface{}) ackedEvent {
 	return ackedEvent{query: fmt.Sprint(m["query"]), values: fmt.Sprint(m["values"])}
 }
 
-// notificationSet renders a recovered cluster's delivered notifications in
-// the same shape the protocol events use.
+// notificationSet renders a cluster's delivered-identity set — restored
+// deliveries included — in the same shape the protocol events use.
 func notificationSet(s *Server) map[ackedEvent]bool {
 	set := make(map[ackedEvent]bool)
-	for _, n := range s.Cluster().Notifications() {
+	for _, n := range s.Cluster().Engine().Delivered() {
 		vals := make([]interface{}, len(n.Values))
 		for i, v := range n.Values {
 			if v.Kind() == cqjoin.NumberKind {
@@ -283,7 +283,7 @@ func TestDaemonMultiProcessCrashRestart(t *testing.T) {
 	live := []*overlayProc{a, b2}
 	publishPair(t, live, "mp-post")
 	count := 0
-	for _, n := range b2.srv.Cluster().Notifications() {
+	for _, n := range b2.srv.Cluster().Engine().Delivered() {
 		if n.QueryKey == key {
 			count++
 		}

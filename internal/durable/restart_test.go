@@ -1,6 +1,7 @@
 package durable
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -32,7 +33,9 @@ func TestExportHandoffCrashRecovery(t *testing.T) {
 	build := func() *engine.Engine {
 		net := chord.New(chord.Config{})
 		net.AddNodes("peer", 16)
-		return engine.New(net, catalog, engine.Config{Seed: 5, MaxRetries: 3, RetryBackoff: 1})
+		eng := engine.New(net, catalog, engine.Config{Seed: 5, MaxRetries: 3, RetryBackoff: 1})
+		eng.KeepNotifications()
+		return eng
 	}
 
 	eng := build()
@@ -64,7 +67,8 @@ func TestExportHandoffCrashRecovery(t *testing.T) {
 		pub(st, eng, "peer1", relation.MustTuple(r, relation.N(float64(i)), relation.N(1), relation.N(0)))
 		pub(st, eng, "peer9", relation.MustTuple(s, relation.N(float64(10+i)), relation.N(1), relation.N(0)))
 	}
-	delivered := len(eng.Notifications())
+	deliveredKeys := engine.DeliveryKeys(eng.Delivered())
+	delivered := len(deliveredKeys)
 	if delivered == 0 {
 		t.Fatal("workload delivered nothing; the hand-off would be empty")
 	}
@@ -102,8 +106,8 @@ func TestExportHandoffCrashRecovery(t *testing.T) {
 	if info.Replayed == 0 && info.SnapshotLSN == 0 {
 		t.Fatalf("nothing recovered: %+v", info)
 	}
-	if got := len(eng2.Notifications()); got != delivered {
-		t.Fatalf("recovered %d notifications, delivered %d before the crash", got, delivered)
+	if got := engine.DeliveryKeys(eng2.Delivered()); !reflect.DeepEqual(got, deliveredKeys) {
+		t.Fatalf("recovered delivered set (%d) differs from the %d delivered before the crash", len(got), delivered)
 	}
 
 	// The orphaned transfer lands anyway — the old owner's transport retry
@@ -114,15 +118,15 @@ func TestExportHandoffCrashRecovery(t *testing.T) {
 			t.Fatalf("stale hand-off to %s not deliverable", f.key)
 		}
 	}
-	if got := len(eng2.Notifications()); got != delivered {
-		t.Fatalf("stale hand-off replay changed deliveries: %d, want %d", got, delivered)
+	if got := engine.DeliveryKeys(eng2.Delivered()); !reflect.DeepEqual(got, deliveredKeys) {
+		t.Fatalf("stale hand-off replay changed the delivered set: %d, want %d", len(got), delivered)
 	}
 
 	// Evaluation continues undoubled: one fresh matching pair, exactly one
 	// new notification — duplicated stored tuples would join twice here.
 	pub(st2, eng2, "peer3", relation.MustTuple(r, relation.N(99), relation.N(2), relation.N(0)))
 	pub(st2, eng2, "peer7", relation.MustTuple(s, relation.N(98), relation.N(2), relation.N(0)))
-	if got := len(eng2.Notifications()); got != delivered+1 {
+	if got := eng2.NotificationCount(); got != delivered+1 {
 		t.Fatalf("fresh pair after stale merge delivered %d new notifications, want 1", got-delivered)
 	}
 	if err := chaos.NoDuplicateDeliveries(eng2.Notifications()); err != nil {
@@ -148,7 +152,9 @@ func TestChurnRestartHandoff(t *testing.T) {
 	build := func() *engine.Engine {
 		net := chord.New(chord.Config{})
 		net.AddNodes("peer", 48)
-		return engine.New(net, catalog, engine.Config{Seed: seed, MaxRetries: 6, RetryBackoff: 1})
+		eng := engine.New(net, catalog, engine.Config{Seed: seed, MaxRetries: 6, RetryBackoff: 1})
+		eng.KeepNotifications()
+		return eng
 	}
 	eng := build()
 	in := chaos.New(eng, chaos.Config{
@@ -238,14 +244,15 @@ func TestChurnRestartHandoff(t *testing.T) {
 		t.Fatalf("final close: %v", err)
 	}
 
-	notifs := eng.Notifications()
 	if err := chaos.RingIntact(eng.Network()); err != nil {
 		t.Error(err)
 	}
-	if err := chaos.NoDuplicateDeliveries(notifs); err != nil {
+	// The last incarnation's deliveries carry no duplicate; the
+	// delivered-identity set, restored deliveries included, is complete.
+	if err := chaos.NoDuplicateDeliveries(eng.Notifications()); err != nil {
 		t.Error(err)
 	}
-	if err := chaos.Complete(oracle, notifs); err != nil {
+	if err := chaos.Complete(oracle, eng.Delivered()); err != nil {
 		t.Error(err)
 	}
 	trace := strings.Join(in.Trace(), "\n")

@@ -234,7 +234,7 @@ func EncodeMessage(w *wire.Buffer, msg chord.Message) error {
 		for _, t := range m.Tuples {
 			wire.EncodeTuple(w, t)
 		}
-	//wire:field enc snapMetaMsg Clock Nodes Down Seq Subs Multi Conds Sink HotEpochs HotCounts
+	//wire:field enc snapMetaMsg Clock Nodes Down Seq Subs Multi Conds Delivered HotEpochs HotCounts
 	case snapMetaMsg:
 		w.PutUvarint(uint64(tagSnapMeta))
 		w.PutVarint(m.Clock)
@@ -254,14 +254,14 @@ func EncodeMessage(w *wire.Buffer, msg chord.Message) error {
 		for _, s := range m.Subs {
 			encodeSubsEntry(w, s)
 		}
-		w.PutUvarint(boolBit(m.Multi))
+		w.PutUvarint(snapFlags(m.Multi))
 		w.PutUvarint(uint64(len(m.Conds)))
 		for _, q := range m.Conds {
 			wire.EncodeQuery(w, q)
 		}
-		w.PutUvarint(uint64(len(m.Sink)))
-		for _, n := range m.Sink {
-			encodeNotification(w, n)
+		w.PutUvarint(uint64(len(m.Delivered)))
+		for _, id := range m.Delivered {
+			encodeDeliveryID(w, id)
 		}
 		w.PutUvarint(uint64(len(m.HotEpochs)))
 		for _, e := range m.HotEpochs {
@@ -300,6 +300,14 @@ func encodeNotification(w *wire.Buffer, n Notification) {
 	w.PutVarint(n.LeftPubT)
 	w.PutVarint(n.RightPubT)
 	w.PutVarint(n.DeliveredAt)
+}
+
+//wire:field enc deliveryID queryKey content leftPubT rightPubT
+func encodeDeliveryID(w *wire.Buffer, id deliveryID) {
+	w.PutString(id.queryKey)
+	w.PutString(id.content)
+	w.PutVarint(id.leftPubT)
+	w.PutVarint(id.rightPubT)
 }
 
 //wire:field enc MultiQuery Key Subscriber SubscriberIP InsT Text Rels
@@ -474,6 +482,17 @@ func encodeHotCountEntry(w *wire.Buffer, c hotCountEntry) {
 	w.PutVarint(c.Count)
 	w.PutVarint(c.WindowStart)
 }
+
+// Snapshot-meta flag bits, written where the format before identity sets
+// wrote the bare Multi bit (0 or 1). A clear snapIdentities bit marks that
+// older format, whose delivered slot holds whole notifications.
+const (
+	snapMulti      uint64 = 1 << 0
+	snapIdentities uint64 = 1 << 1
+)
+
+// snapFlags renders the snapshot-meta flag word.
+func snapFlags(multi bool) uint64 { return boolBit(multi) | snapIdentities }
 
 // boolBit renders a bool as its uvarint wire bit.
 func boolBit(b bool) uint64 {
@@ -961,23 +980,17 @@ func decodeMultiQuery(r *wire.Reader, catalog *relation.Catalog) (*query.MultiQu
 	if err != nil {
 		return nil, err
 	}
-	text, err := r.String()
+	text, err := r.Bytes()
 	if err != nil {
 		return nil, err
 	}
-	first, err := r.String()
+	first, err := r.Bytes()
 	if err != nil {
 		return nil, err
 	}
-	mq, err := query.ParseMulti(catalog, text)
+	mq, err := wire.ParseMulti(catalog, text, first)
 	if err != nil {
 		return nil, fmt.Errorf("engine: re-parse multi query: %w", err)
-	}
-	if mq.Rels()[0].Name() != first {
-		mq = mq.Reverse()
-		if mq.Rels()[0].Name() != first {
-			return nil, fmt.Errorf("engine: orientation marker %q matches neither chain endpoint", first)
-		}
 	}
 	return mq.WithRestoredIdentity(key, sub, ip, insT), nil
 }
@@ -1379,7 +1392,7 @@ func decodeHandoff(r *wire.Reader, catalog *relation.Catalog) (chord.Message, er
 	return m, nil
 }
 
-//wire:field dec snapMetaMsg Clock Nodes Down Seq Subs Multi Conds Sink HotEpochs HotCounts
+//wire:field dec snapMetaMsg Clock Nodes Down Seq Subs Multi Conds Delivered HotEpochs HotCounts
 func decodeSnapMeta(r *wire.Reader, catalog *relation.Catalog) (chord.Message, error) {
 	var m snapMetaMsg
 	clock, err := r.Varint()
@@ -1413,11 +1426,14 @@ func decodeSnapMeta(r *wire.Reader, catalog *relation.Catalog) (chord.Message, e
 			return nil, err
 		}
 	}
-	multi, err := r.Uvarint()
+	flags, err := r.Uvarint()
 	if err != nil {
 		return nil, err
 	}
-	m.Multi = multi != 0
+	if flags&^(snapMulti|snapIdentities) != 0 {
+		return nil, fmt.Errorf("engine: unknown snapshot meta flags %#x", flags)
+	}
+	m.Multi = flags&snapMulti != 0
 	nConds, err := decodeCount(r)
 	if err != nil {
 		return nil, err
@@ -1428,15 +1444,8 @@ func decodeSnapMeta(r *wire.Reader, catalog *relation.Catalog) (chord.Message, e
 			return nil, err
 		}
 	}
-	nSink, err := decodeCount(r)
-	if err != nil {
+	if m.Delivered, err = decodeDelivered(r, flags&snapIdentities == 0); err != nil {
 		return nil, err
-	}
-	m.Sink = make([]Notification, nSink)
-	for i := range m.Sink {
-		if m.Sink[i], err = decodeNotification(r); err != nil {
-			return nil, err
-		}
 	}
 	nEp, err := decodeCount(r)
 	if err != nil {
@@ -1459,6 +1468,53 @@ func decodeSnapMeta(r *wire.Reader, catalog *relation.Catalog) (chord.Message, e
 		}
 	}
 	return m, nil
+}
+
+// decodeDelivered reads a snapshot's delivered-identity set. In the older
+// sink format the slot holds every delivered notification in full, and
+// only their identities are kept.
+func decodeDelivered(r *wire.Reader, sinkFormat bool) ([]deliveryID, error) {
+	n, err := decodeCount(r)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]deliveryID, n)
+	for i := range out {
+		if !sinkFormat {
+			if out[i], err = decodeDeliveryID(r); err != nil {
+				return nil, err
+			}
+			continue
+		}
+		nt, err := decodeNotification(r)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = deliveryIDOf(nt)
+	}
+	return out, nil
+}
+
+//wire:field dec deliveryID queryKey content leftPubT rightPubT
+func decodeDeliveryID(r *wire.Reader) (deliveryID, error) {
+	var id deliveryID
+	var err error
+	if id.queryKey, err = r.String(); err != nil {
+		return id, err
+	}
+	if id.content, err = r.String(); err != nil {
+		return id, err
+	}
+	if err = validContent(id.content); err != nil {
+		return id, err
+	}
+	if id.leftPubT, err = r.Varint(); err != nil {
+		return id, err
+	}
+	if id.rightPubT, err = r.Varint(); err != nil {
+		return id, err
+	}
+	return id, nil
 }
 
 // decodeStrings reads a uvarint-counted list of strings.

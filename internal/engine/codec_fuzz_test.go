@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"os"
 	"testing"
 
 	"cqjoin/internal/wire"
@@ -12,7 +13,8 @@ import (
 // prefix (the sliceCount guards), and every ACCEPTED message must
 // re-encode to a stable canonical form — encode(decode(b)) decodes again
 // and re-encodes to the identical bytes. The seed corpus is one valid
-// encoding of every engine message type.
+// encoding of every engine message type, plus a snapshot meta in the
+// older sink format.
 func FuzzCodecRoundTrip(f *testing.F) {
 	catalog, msgs := codecFixtures(f)
 	for _, msg := range msgs {
@@ -21,6 +23,9 @@ func FuzzCodecRoundTrip(f *testing.F) {
 			f.Fatalf("%T: seed encode: %v", msg, err)
 		}
 		f.Add(w.Bytes())
+	}
+	if legacy, err := os.ReadFile("testdata/snapmeta-sink.bin"); err == nil {
+		f.Add(legacy) // snapshot meta in the older sink format
 	}
 	f.Add([]byte{})
 	f.Add([]byte{byte(tagJoin), 0xff, 0xff, 0xff, 0xff, 0x0f}) // forged huge count

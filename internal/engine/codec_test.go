@@ -87,6 +87,17 @@ func codecFixtures(t testing.TB) (*relation.Catalog, []chord.Message) {
 		hotHandoffMsg{Input: "S+E+7", Shard: 2, Version: 3, K: 4,
 			Entries: []vqEntry{{Rw: rw, Times: []int64{9, 11}}},
 			Tuples:  []*relation.Tuple{su}},
+		snapMetaMsg{
+			Clock: 12, Nodes: []string{"peer0", "peer1"}, Down: []string{"peer2"},
+			Seq:   []seqEntry{{Key: q.Subscriber(), Seq: 1}},
+			Subs:  []subsEntry{{Key: q.Key(), Inputs: []string{"R+B", "S+E"}}},
+			Multi: true, Conds: []*query.Query{q},
+			Delivered: []deliveryID{deliveryIDOf(notif), deliveryIDOf(Notification{
+				QueryKey: q.Key(), Values: []relation.Value{relation.S("x|y"), relation.N(-0.5)}, LeftPubT: 3, RightPubT: 4,
+			})},
+			HotEpochs: []hotEpochEntry{{Input: "S+E+7", Version: 2, K: 4}},
+			HotCounts: []hotCountEntry{{Input: "S+E+9", Count: 5, WindowStart: 7}},
+		},
 	}
 	return full, msgs
 }
@@ -342,6 +353,15 @@ func assertSemanticEqual(t *testing.T, want, got chord.Message) {
 			if g.Tuples[i].String() != w.Tuples[i].String() || g.Tuples[i].PubT() != w.Tuples[i].PubT() {
 				t.Fatalf("hotHandoffMsg tuple %d mismatch", i)
 			}
+		}
+	case snapMetaMsg:
+		g := got.(snapMetaMsg)
+		if g.Clock != w.Clock || !reflect.DeepEqual(g.Nodes, w.Nodes) || !reflect.DeepEqual(g.Down, w.Down) ||
+			!reflect.DeepEqual(g.Seq, w.Seq) || !reflect.DeepEqual(g.Subs, w.Subs) || g.Multi != w.Multi ||
+			len(g.Conds) != len(w.Conds) || g.Conds[0].Key() != w.Conds[0].Key() ||
+			!reflect.DeepEqual(g.Delivered, w.Delivered) ||
+			!reflect.DeepEqual(g.HotEpochs, w.HotEpochs) || !reflect.DeepEqual(g.HotCounts, w.HotCounts) {
+			t.Fatalf("snapMetaMsg mismatch: %+v", g)
 		}
 	default:
 		t.Fatalf("no comparer for %T", want)

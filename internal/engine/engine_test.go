@@ -34,6 +34,7 @@ func newTestEnv(t testing.TB, nNodes int, cfg Config) *testEnv {
 	net := chord.New(chord.Config{})
 	net.AddNodes("peer", nNodes)
 	eng := New(net, catalog, cfg)
+	eng.KeepNotifications()
 	return &testEnv{net: net, eng: eng, catalog: catalog, r: r, s: s, doc: doc, authors: authors, nodes: net.Nodes()}
 }
 
@@ -66,11 +67,17 @@ func sTuple(env *testEnv, d, e, f float64) *relation.Tuple {
 }
 
 func contentKeys(ns []Notification) []string {
+	keys := deliverySequence(ns)
+	sort.Strings(keys)
+	return keys
+}
+
+// deliverySequence returns the content keys of ns in delivery order.
+func deliverySequence(ns []Notification) []string {
 	keys := make([]string, len(ns))
 	for i, n := range ns {
 		keys[i] = n.ContentKey()
 	}
-	sort.Strings(keys)
 	return keys
 }
 

@@ -90,7 +90,7 @@ func TestHotKeyUniformWorkloadIdentical(t *testing.T) {
 	if len(envOn.eng.HotKeys()) != 0 {
 		t.Fatalf("uniform workload promoted inputs: %v", envOn.eng.HotKeys())
 	}
-	if got, want := envOn.eng.DeliveredContentKeys(), envOff.eng.DeliveredContentKeys(); !reflect.DeepEqual(got, want) {
+	if got, want := deliverySequence(envOn.eng.Notifications()), deliverySequence(envOff.eng.Notifications()); !reflect.DeepEqual(got, want) {
 		t.Fatalf("delivery sequences diverge: %d vs %d", len(got), len(want))
 	}
 	if got, want := envOn.eng.FilteringLoads(), envOff.eng.FilteringLoads(); !reflect.DeepEqual(got, want) {
@@ -234,7 +234,7 @@ func TestHotKeyBatchParallelDeterminism(t *testing.T) {
 	if !reflect.DeepEqual(env1.eng.HotKeys(), env8.eng.HotKeys()) {
 		t.Fatalf("hot-key registries diverge:\n w1=%v\n w8=%v", env1.eng.HotKeys(), env8.eng.HotKeys())
 	}
-	if got, want := env8.eng.DeliveredContentKeys(), env1.eng.DeliveredContentKeys(); !reflect.DeepEqual(got, want) {
+	if got, want := deliverySequence(env8.eng.Notifications()), deliverySequence(env1.eng.Notifications()); !reflect.DeepEqual(got, want) {
 		t.Fatalf("delivery sequences diverge across worker counts: %d vs %d", len(got), len(want))
 	}
 	if got, want := env8.eng.FilteringLoads(), env1.eng.FilteringLoads(); !reflect.DeepEqual(got, want) {

@@ -31,6 +31,7 @@ func newMultiEnv(t testing.TB, nNodes int, cfg Config) *multiEnv {
 	net := chord.New(chord.Config{})
 	net.AddNodes("peer", nNodes)
 	eng := New(net, catalog, cfg)
+	eng.KeepNotifications()
 	return &multiEnv{net: net, eng: eng, catalog: catalog, a: a, b: b, c: c, d: d, nodes: net.Nodes()}
 }
 

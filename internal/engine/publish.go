@@ -275,9 +275,9 @@ func (e *Engine) runWave(ops []PublishOp, stamped []*relation.Tuple, errs []erro
 	}
 }
 
-// sortSinkFrom orders the notifications appended since index start into
-// the batch's canonical order, making the sink independent of cascade
-// completion order.
+// sortSinkFrom orders the kept notifications (KeepNotifications) appended
+// since index start into the batch's canonical order, making the kept log
+// independent of cascade completion order.
 func (e *Engine) sortSinkFrom(start int) {
 	e.mu.Lock()
 	defer e.mu.Unlock()

@@ -68,3 +68,6 @@ func (m hotRecallMsg) Size() int { return wireSize(m) }
 
 // Size reports a hot-key state hand-off message's wire size.
 func (m hotHandoffMsg) Size() int { return wireSize(m) }
+
+// Size reports a snapshot meta message's encoded size.
+func (m snapMetaMsg) Size() int { return wireSize(m) }

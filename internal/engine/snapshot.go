@@ -15,12 +15,13 @@ import (
 // log needs to continue deterministically — the logical clock, the
 // per-subscriber query sequence counters (so replayed subscribes re-derive
 // the same Key(q)), the subscription index, the registered conflict
-// conditions, the delivered-notification sink, and the hot-key epoch
-// registry. Deliberately NOT carried, matching the hand-off exclusions:
-// the JFRT and subscriber-IP caches (best-effort, refill), probe
-// statistics, the pair-baseline store, and the engine's private rng state
-// (it only picks index attributes and replicas, which never changes match
-// content — see DESIGN.md §14.3).
+// conditions, the delivered-identity set (delivered.go; never the
+// notifications themselves), and the hot-key epoch registry. Deliberately
+// NOT carried, matching the hand-off exclusions: the JFRT and
+// subscriber-IP caches (best-effort, refill), probe statistics, the
+// pair-baseline store, and the engine's private rng state (it only picks
+// index attributes and replicas, which never changes match content — see
+// DESIGN.md §14.3).
 
 // kindSnapMeta names the snapshot-meta message class.
 const kindSnapMeta = "snapmeta"
@@ -65,7 +66,7 @@ type snapMetaMsg struct {
 	Subs      []subsEntry
 	Multi     bool
 	Conds     []*query.Query
-	Sink      []Notification
+	Delivered []deliveryID // sorted (compareIDs), so snapshot bytes are deterministic
 	HotEpochs []hotEpochEntry
 	HotCounts []hotCountEntry
 }
@@ -103,8 +104,8 @@ func (e *Engine) ExportSnapshot(down []string) (chord.Message, []NodeSnapshot) {
 		meta.Subs = append(meta.Subs, subsEntry{Key: k, Inputs: append([]string(nil), e.subs[k]...)})
 	}
 	meta.Multi = e.hasMulti
-	meta.Sink = append([]Notification(nil), e.sink...)
 	e.mu.Unlock()
+	meta.Delivered = e.deliveredIDs()
 
 	e.condMu.Lock()
 	meta.Conds = append([]*query.Query(nil), e.conds...)
@@ -252,12 +253,11 @@ func (e *Engine) RestoreSnapshot(meta chord.Message, nodes []NodeSnapshot) error
 		e.subs[s.Key] = append([]string(nil), s.Inputs...)
 	}
 	e.hasMulti = m.Multi
-	e.sink = append(e.sink, m.Sink...)
 	if len(e.delivered) == 0 {
-		e.delivered = make(map[deliveryID]struct{}, len(m.Sink))
+		e.delivered = make(map[deliveryID]struct{}, len(m.Delivered))
 	}
-	for _, n := range m.Sink {
-		e.delivered[deliveryIDOf(n)] = struct{}{}
+	for _, id := range m.Delivered {
+		e.delivered[id] = struct{}{}
 	}
 	e.mu.Unlock()
 	e.multiOn.Store(m.Multi)

@@ -171,7 +171,7 @@ func wireSize(msg chord.Message) int {
 			n += wire.SizeTuple(t)
 		}
 		return n
-	//wire:field size snapMetaMsg Clock Nodes Down Seq Subs Multi Conds Sink HotEpochs HotCounts
+	//wire:field size snapMetaMsg Clock Nodes Down Seq Subs Multi Conds Delivered HotEpochs HotCounts
 	case snapMetaMsg:
 		n := tagLen + wire.SizeVarint(m.Clock) + wire.SizeUvarint(uint64(len(m.Nodes)))
 		for _, k := range m.Nodes {
@@ -189,14 +189,14 @@ func wireSize(msg chord.Message) int {
 		for _, s := range m.Subs {
 			n += sizeSubsEntry(s)
 		}
-		n += wire.SizeUvarint(boolBit(m.Multi))
+		n += wire.SizeUvarint(snapFlags(m.Multi))
 		n += wire.SizeUvarint(uint64(len(m.Conds)))
 		for _, q := range m.Conds {
 			n += wire.SizeQuery(q)
 		}
-		n += wire.SizeUvarint(uint64(len(m.Sink)))
-		for _, nt := range m.Sink {
-			n += sizeNotification(nt)
+		n += wire.SizeUvarint(uint64(len(m.Delivered)))
+		for _, id := range m.Delivered {
+			n += sizeDeliveryID(id)
 		}
 		n += wire.SizeUvarint(uint64(len(m.HotEpochs)))
 		for _, e := range m.HotEpochs {
@@ -255,6 +255,12 @@ func sizeNotification(n Notification) int {
 	}
 	return sz + wire.SizeVarint(n.LeftPubT) + wire.SizeVarint(n.RightPubT) +
 		wire.SizeVarint(n.DeliveredAt)
+}
+
+//wire:field size deliveryID queryKey content leftPubT rightPubT
+func sizeDeliveryID(id deliveryID) int {
+	return wire.SizeString(id.queryKey) + wire.SizeString(id.content) +
+		wire.SizeVarint(id.leftPubT) + wire.SizeVarint(id.rightPubT)
 }
 
 //wire:field size MultiQuery Key Subscriber SubscriberIP InsT Text Rels

@@ -32,6 +32,8 @@ type Run struct {
 	Gen   *workload.Generator
 	Nodes []*chord.Node
 	rng   *rand.Rand
+
+	notifBase int // delivered count at the last ResetMeters
 }
 
 // Setup builds an overlay of sc.Nodes peers running the given engine
@@ -112,13 +114,18 @@ func (r *Run) PublishWindows(batches, perBatch int) {
 	}
 }
 
-// ResetMeters zeroes the traffic ledger, the load counters and the
-// delivered-notification record, marking the end of warm-up.
+// ResetMeters zeroes the traffic ledger, the load counters, the kept
+// notifications and the delivered count, marking the end of warm-up.
 func (r *Run) ResetMeters() {
 	r.Net.Traffic().Reset()
 	r.Eng.ResetLoads()
 	r.Eng.ResetNotifications()
+	r.notifBase = r.Eng.NotificationCount()
 }
+
+// Notifications returns the number of distinct notifications delivered
+// since the last ResetMeters.
+func (r *Run) Notifications() int { return r.Eng.NotificationCount() - r.notifBase }
 
 // Measurements snapshots the metrics the figures report.
 type Measurements struct {
@@ -139,7 +146,7 @@ func (r *Run) Measure(tuples int) Measurements {
 	m := Measurements{
 		TF:            metrics.SummarizeInt(r.Eng.FilteringLoads()),
 		TS:            metrics.SummarizeInt(r.Eng.StorageLoads()),
-		Notifications: len(r.Eng.Notifications()),
+		Notifications: r.Notifications(),
 	}
 	if tuples > 0 {
 		m.HopsPerTuple = float64(r.Net.Traffic().TotalHops()) / float64(tuples)

@@ -134,7 +134,7 @@ func (t *SimTarget) Publish(_ int, op int) error {
 func (t *SimTarget) Notifications() (int, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return len(t.run.Eng.Notifications()), nil
+	return t.run.Notifications(), nil
 }
 
 // HotKeys reports how many value-level inputs the engine currently holds

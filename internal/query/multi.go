@@ -331,6 +331,10 @@ func (mq *MultiQuery) Arity() int { return len(mq.rels) }
 // Rels returns the relations in pipeline order.
 func (mq *MultiQuery) Rels() []*relation.Schema { return append([]*relation.Schema(nil), mq.rels...) }
 
+// RelAt returns the i-th relation in pipeline order (Rels()[i], without
+// the copy).
+func (mq *MultiQuery) RelAt(i int) *relation.Schema { return mq.rels[i] }
+
 // Links returns the chain's join conditions; Links()[i] relates Rels()[i]
 // to Rels()[i+1].
 func (mq *MultiQuery) Links() []Link { return append([]Link(nil), mq.links...) }

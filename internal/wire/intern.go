@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"fmt"
 	"sync"
 
 	"cqjoin/internal/query"
@@ -27,12 +28,14 @@ import (
 //   - schemas are immutable, so every tuple decoded with one header can
 //     share one.
 //
-// Both tables are process-wide, since every engine in a process decodes
-// through this package's free functions. Each is a map behind a mutex,
-// bounded like the engine's identifier cache (engine/idcache.go): when
-// full, a table is dropped and restarted rather than evicted. A query text
-// keeps at most internVariants parses, newest first, so parses tied to a
-// dead catalog are pushed out and never outgrow the bound.
+// Multi-way queries (ParseMulti) are interned the same way, their
+// pipeline orientation included. All tables are process-wide, since every
+// engine in a process decodes through this package's free functions. Each
+// is a map behind a mutex, bounded like the engine's identifier cache
+// (engine/idcache.go): when full, a table is dropped and restarted rather
+// than evicted. A query text keeps at most internVariants parses, newest
+// first, so parses tied to a dead catalog are pushed out and never
+// outgrow the bound.
 
 // internMax bounds the keys of each table: far above the distinct query
 // texts and attribute lists any workload decodes, and reached only by a
@@ -48,9 +51,11 @@ const internMax = 1 << 12
 // each other on nearly every message.
 const internVariants = 4
 
-type queryTable struct {
+// parseTable interns parses by text, keeping up to internVariants per
+// text, newest first.
+type parseTable[Q any] struct {
 	mu sync.Mutex
-	m  map[string][]*query.Query // newest parse first
+	m  map[string][]Q
 }
 
 type schemaTable struct {
@@ -59,38 +64,47 @@ type schemaTable struct {
 }
 
 var (
-	queries queryTable
-	schemas schemaTable
+	queries      parseTable[*query.Query]
+	multiQueries parseTable[*query.MultiQuery]
+	schemas      schemaTable
 )
 
-// parse returns the parsed, identity-free query for sql under catalog,
-// parsing it only when the text has no parse against the schemas catalog
-// resolves. The result is shared: callers copy it.
-func (c *queryTable) parse(catalog *relation.Catalog, sql []byte) (*query.Query, error) {
+// lookup returns a parse of text that usable accepts, calling parse only
+// when the text has none. A parse error is returned uncached.
+func (c *parseTable[Q]) lookup(text []byte, usable func(Q) bool, parse func(string) (Q, error)) (Q, error) {
 	c.mu.Lock()
-	for _, q := range c.m[string(sql)] {
-		if resolvesTo(catalog, q) {
+	for _, q := range c.m[string(text)] {
+		if usable(q) {
 			c.mu.Unlock()
 			return q, nil
 		}
 	}
 	c.mu.Unlock()
-	text := string(sql)
-	q, err := query.Parse(catalog, text)
+	key := string(text)
+	q, err := parse(key)
 	if err != nil {
-		return nil, err
+		return q, err
 	}
 	c.mu.Lock()
 	if c.m == nil || len(c.m) >= internMax {
-		c.m = make(map[string][]*query.Query)
+		c.m = make(map[string][]Q)
 	}
-	older := c.m[text]
+	older := c.m[key]
 	if len(older) >= internVariants {
 		older = older[:internVariants-1]
 	}
-	c.m[text] = append([]*query.Query{q}, older...)
+	c.m[key] = append([]Q{q}, older...)
 	c.mu.Unlock()
 	return q, nil
+}
+
+// parseQuery returns the parsed, identity-free query for sql under
+// catalog, parsing it only when the text has no parse against the schemas
+// catalog resolves. The result is shared: callers copy it.
+func parseQuery(catalog *relation.Catalog, sql []byte) (*query.Query, error) {
+	return queries.lookup(sql,
+		func(q *query.Query) bool { return resolvesTo(catalog, q) },
+		func(text string) (*query.Query, error) { return query.Parse(catalog, text) })
 }
 
 // resolvesTo reports whether catalog maps both of q's relations to the
@@ -98,6 +112,39 @@ func (c *queryTable) parse(catalog *relation.Catalog, sql []byte) (*query.Query,
 func resolvesTo(catalog *relation.Catalog, q *query.Query) bool {
 	l, r := q.Rel(query.SideLeft), q.Rel(query.SideRight)
 	return catalog.Lookup(l.Name()) == l && catalog.Lookup(r.Name()) == r
+}
+
+// ParseMulti returns the parsed, identity-free multi-way query for sql
+// under catalog, oriented so that its pipeline starts at relation first
+// (see MultiQuery.Reverse). Like DecodeQuery's table it parses a text once
+// per catalog, and once per orientation, which counts as a variant of its
+// own. The result is shared: callers copy it (WithRestoredIdentity).
+func ParseMulti(catalog *relation.Catalog, sql, first []byte) (*query.MultiQuery, error) {
+	return multiQueries.lookup(sql,
+		func(mq *query.MultiQuery) bool {
+			if mq.RelAt(0).Name() != string(first) {
+				return false
+			}
+			for i := 0; i < mq.Arity(); i++ {
+				if r := mq.RelAt(i); catalog.Lookup(r.Name()) != r {
+					return false
+				}
+			}
+			return true
+		},
+		func(text string) (*query.MultiQuery, error) {
+			mq, err := query.ParseMulti(catalog, text)
+			if err != nil {
+				return nil, err
+			}
+			if mq.RelAt(0).Name() != string(first) {
+				mq = mq.Reverse()
+				if mq.RelAt(0).Name() != string(first) {
+					return nil, fmt.Errorf("orientation marker %q matches neither chain endpoint", first)
+				}
+			}
+			return mq, nil
+		})
 }
 
 // lookup returns the schema for an encoded tuple header (relation name,

@@ -258,3 +258,57 @@ func TestInternTablesConcurrentDecode(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Multi-way queries are interned per text, catalog and orientation: a
+// repeat lookup returns the same parse, each orientation and each catalog
+// gets its own, and an orientation marker naming no chain endpoint is an
+// error that leaves nothing cached.
+func TestParseMultiInternsPerCatalogAndOrientation(t *testing.T) {
+	mcat := func() *relation.Catalog {
+		return relation.MustCatalog(
+			relation.MustSchema("A", "x", "y"),
+			relation.MustSchema("B", "x", "y"),
+			relation.MustSchema("C", "x", "y"),
+		)
+	}
+	const sql = `SELECT A.y, C.y FROM A, B, C WHERE A.x = B.y AND B.x = C.y`
+	multiQueries.mu.Lock()
+	delete(multiQueries.m, sql) // parses from an earlier run (-count) would count as variants
+	multiQueries.mu.Unlock()
+	c1, c2 := mcat(), mcat()
+	parse := func(c *relation.Catalog, first string) *query.MultiQuery {
+		t.Helper()
+		mq, err := ParseMulti(c, []byte(sql), []byte(first))
+		if err != nil {
+			t.Fatalf("ParseMulti(%s): %v", first, err)
+		}
+		if mq.RelAt(0).Name() != first {
+			t.Fatalf("pipeline starts at %s, want %s", mq.RelAt(0).Name(), first)
+		}
+		for i := 0; i < mq.Arity(); i++ {
+			if r := mq.RelAt(i); c.Lookup(r.Name()) != r {
+				t.Fatalf("relation %s resolved against another catalog", r.Name())
+			}
+		}
+		return mq
+	}
+	fwd, rev := parse(c1, "A"), parse(c1, "C")
+	if fwd == rev {
+		t.Fatal("both orientations share one parse")
+	}
+	if parse(c1, "A") != fwd || parse(c1, "C") != rev {
+		t.Fatal("a repeat lookup parsed again")
+	}
+	if parse(c2, "A") == fwd {
+		t.Fatal("catalogs share a parse")
+	}
+	if _, err := ParseMulti(c1, []byte(sql), []byte("B")); err == nil {
+		t.Fatal("a middle relation was accepted as the orientation marker")
+	}
+	multiQueries.mu.Lock()
+	n := len(multiQueries.m[sql])
+	multiQueries.mu.Unlock()
+	if n != 3 {
+		t.Fatalf("text keeps %d parses, want 3 (two orientations, two catalogs)", n)
+	}
+}

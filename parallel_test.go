@@ -37,6 +37,7 @@ type runFingerprint struct {
 func parallelScenario(alg engine.Algorithm, sc exp.Scale, withChaos bool, workers int) runFingerprint {
 	exp.SetParallelism(workers)
 	r := exp.Setup(engine.Config{Algorithm: alg, MaxRetries: 3, RetryBackoff: 1}, sc, workload.Params{})
+	r.Eng.KeepNotifications()
 	var in *chaos.Injector
 	if withChaos {
 		// Crash and stale-IP schedules are omitted on purpose: which node

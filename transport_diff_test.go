@@ -62,6 +62,7 @@ func transportScenario(t *testing.T, alg engine.Algorithm, sc exp.Scale, overTCP
 	t.Helper()
 	exp.SetParallelism(1)
 	r := exp.Setup(engine.Config{Algorithm: alg, MaxRetries: 3, RetryBackoff: 1}, sc, workload.Params{})
+	r.Eng.KeepNotifications()
 	var reg *obs.Registry
 	if overTCP {
 		var cleanup func()
@@ -156,6 +157,7 @@ func TestTransportDifferentialMultiWay(t *testing.T) {
 		cnet := chord.New(chord.Config{})
 		cnet.AddNodes("peer", 48)
 		eng := engine.New(cnet, catalog, engine.Config{Algorithm: alg, Strategy: engine.StrategyLeft, Seed: 9})
+		eng.KeepNotifications()
 		if overTCP {
 			_, cleanup := loopbackTransport(t, cnet, catalog)
 			defer cleanup()
