@@ -2,6 +2,7 @@ package wire
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -56,6 +57,35 @@ func TestValueRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// WriteValue writes exactly PutValue's bytes, and CutValue reads them back
+// bit for bit and rejects a non-minimal length prefix.
+func TestWriteValueSharesLayout(t *testing.T) {
+	f := func(s string, n float64, isStr bool) bool {
+		v := relation.N(n)
+		if isStr {
+			v = relation.S(s)
+		}
+		var w Buffer
+		w.PutValue(v)
+		var b, again strings.Builder
+		WriteValue(&b, v)
+		got, rest, err := CutValue(b.String() + "tail")
+		if err != nil {
+			return false
+		}
+		WriteValue(&again, got)
+		return b.String() == string(w.Bytes()) && rest == "tail" && again.String() == b.String()
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []string{"", "\x02", "\x00\x05ab", "\x00\x80\x00", "\x01\x00"} {
+		if _, _, err := CutValue(bad); err == nil {
+			t.Errorf("CutValue(%q) accepted", bad)
+		}
 	}
 }
 
