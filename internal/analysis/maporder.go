@@ -3,6 +3,7 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
+	"strings"
 )
 
 // orderSensitiveSinks are the built-in order-sensitive consumers: anything
@@ -16,6 +17,7 @@ var orderSensitiveSinks = map[string]bool{
 	"cqjoin/internal/chord.Node.Multisend":          true,
 	"cqjoin/internal/chord.Node.MultisendIterative": true,
 	"cqjoin/internal/engine.EncodeMessage":          true,
+	"cqjoin/internal/wire.Count":                    true,
 	"cqjoin/internal/wire.EncodeTuple":              true,
 	"cqjoin/internal/wire.EncodeQuery":              true,
 	"cqjoin/internal/wire.Buffer.PutUvarint":        true,
@@ -24,6 +26,24 @@ var orderSensitiveSinks = map[string]bool{
 	"cqjoin/internal/wire.Buffer.PutValue":          true,
 	"cqjoin/internal/obs.Collector.Add":             true,
 	"cqjoin/internal/engine.Engine.partitionWaves":  true,
+}
+
+// orderSensitiveTypes are the types whose every method is a sink. A
+// wire.Codec method moves one field in wire order, whether the codec
+// sizes, encodes or decodes, so a map range feeding a codec walk is
+// flagged whichever field method it calls.
+var orderSensitiveTypes = map[string]bool{
+	"cqjoin/internal/wire.Codec": true,
+}
+
+// isOrderSensitiveSink reports whether fn is a built-in sink.
+func isOrderSensitiveSink(fn *types.Func) bool {
+	key := funcKey(fn)
+	if orderSensitiveSinks[key] {
+		return true
+	}
+	sig, ok := fn.Type().(*types.Signature)
+	return ok && sig.Recv() != nil && orderSensitiveTypes[strings.TrimSuffix(key, "."+fn.Name())]
 }
 
 // MapOrderAnalyzer flags `range` statements over maps whose loop body
@@ -63,7 +83,7 @@ func runMapOrder(pass *Pass) error {
 				if fn == nil {
 					return true
 				}
-				if orderSensitiveSinks[funcKey(fn)] || pass.Prog.IsMarkedSink(fn) {
+				if isOrderSensitiveSink(fn) || pass.Prog.IsMarkedSink(fn) {
 					pass.Reportf(call.Pos(), "%s called while ranging over a map: iteration order is random; collect keys, sort, then send", fn.Name())
 				}
 				return true

@@ -23,6 +23,17 @@ func rangeIntoEncode(w *wire.Buffer, fields map[string]string) {
 	}
 }
 
+// rangeIntoWalk feeds a codec walk, in any of its modes, from a map.
+func rangeIntoWalk(c *wire.Codec, fields map[string][]int64) {
+	for k, vs := range fields {
+		c.String(&k)       // want "String called while ranging over a map"
+		wire.Count(c, &vs) // want "Count called while ranging over a map"
+		for i := range vs {
+			c.Varint(&vs[i]) // want "Varint called while ranging over a map"
+		}
+	}
+}
+
 // collectSortSend is the deterministic pattern: drain the map into a
 // slice, sort, then feed the sink from the slice. No diagnostics.
 func collectSortSend(n *chord.Node, pending map[string]chord.Message) {

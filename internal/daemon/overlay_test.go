@@ -1,6 +1,7 @@
 package daemon
 
 import (
+	"fmt"
 	"net"
 	"strings"
 	"testing"
@@ -164,20 +165,53 @@ func startOverlayProc(t *testing.T, cfg Config, ln net.Listener) *overlayProc {
 	return &overlayProc{srv: srv, c: newClient(t, conn), addr: cfg.OverlayAddr}
 }
 
+// minOwnedNodes is how many ring positions every process of an overlay
+// test must own: a publisher needs two, one per relation of a matching
+// pair.
+const minOwnedNodes = 2
+
+// bindOverlayListeners binds count loopback overlay listeners for an
+// overlay of the given node count, and binds a fresh set until every
+// process owns at least minOwnedNodes ring positions. Ownership hashes the
+// bound addresses, so some draws of ports leave a process owning fewer.
+func bindOverlayListeners(t *testing.T, count, nodes int) ([]net.Listener, []string) {
+	t.Helper()
+	for attempt := 0; attempt < 100; attempt++ {
+		lns := make([]net.Listener, count)
+		peers := make([]string, count)
+		for i := range lns {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatalf("listen overlay %d: %v", i, err)
+			}
+			lns[i], peers[i] = ln, ln.Addr().String()
+		}
+		// The cluster names its nodes peer0 .. peer<nodes-1>.
+		members := newMembership("", peers, 0)
+		owned := make(map[string]int, count)
+		for i := 0; i < nodes; i++ {
+			owned[members.ownerOf(fmt.Sprintf("peer%d", i))]++
+		}
+		balanced := true
+		for _, p := range peers {
+			balanced = balanced && owned[p] >= minOwnedNodes
+		}
+		if balanced {
+			return lns, peers
+		}
+		for _, ln := range lns {
+			_ = ln.Close()
+		}
+	}
+	t.Fatalf("no draw of %d loopback ports gave every process %d of %d nodes", count, minOwnedNodes, nodes)
+	return nil, nil
+}
+
 // startOverlayProcs builds count daemon processes sharing one overlay
 // with a static initial membership.
 func startOverlayProcs(t *testing.T, base Config, count int) []*overlayProc {
 	t.Helper()
-	lns := make([]net.Listener, count)
-	peers := make([]string, count)
-	for i := range lns {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatalf("listen overlay %d: %v", i, err)
-		}
-		lns[i] = ln
-		peers[i] = ln.Addr().String()
-	}
+	lns, peers := bindOverlayListeners(t, count, base.Nodes)
 	procs := make([]*overlayProc, count)
 	for i, ln := range lns {
 		cfg := base

@@ -123,3 +123,16 @@ func decodeSnapshot(data []byte, catalog *relation.Catalog) (snapImage, error) {
 	}
 	return img, nil
 }
+
+// recCount validates an element count against the bytes remaining, like
+// wire.Count: every element takes at least one byte.
+func recCount(r *wire.Reader) (int, error) {
+	n, err := r.Uvarint()
+	if err != nil {
+		return 0, err
+	}
+	if n > uint64(r.Remaining()) {
+		return 0, fmt.Errorf("durable: element count %d exceeds %d remaining bytes", n, r.Remaining())
+	}
+	return int(n), nil
+}

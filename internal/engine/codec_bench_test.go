@@ -8,9 +8,9 @@ import (
 	"cqjoin/internal/wire"
 )
 
-// decodeFixture returns the encoding of the first codec fixture of the
-// given concrete type.
-func decodeFixture[M chord.Message](tb testing.TB) (*relation.Catalog, []byte) {
+// codecFixture returns the first codec fixture of the given concrete type
+// with its encoding.
+func codecFixture[M chord.Message](tb testing.TB) (*relation.Catalog, chord.Message, []byte) {
 	tb.Helper()
 	catalog, msgs := codecFixtures(tb)
 	for _, msg := range msgs {
@@ -19,27 +19,30 @@ func decodeFixture[M chord.Message](tb testing.TB) (*relation.Catalog, []byte) {
 			if err := EncodeMessage(&w, msg); err != nil {
 				tb.Fatal(err)
 			}
-			return catalog, w.Bytes()
+			return catalog, msg, w.Bytes()
 		}
 	}
 	tb.Fatal("no fixture of the requested type")
-	return nil, nil
+	return nil, nil, nil
 }
 
-// BenchmarkDecodeMessage measures decoding one message of each kind that
-// dominates a SAI workload's traffic, plus a multi-way join frame.
+// codecBenchCases are the message kinds the codec benchmarks measure: the
+// ones that dominate a SAI workload's traffic, plus a multi-way join.
+var codecBenchCases = []struct {
+	name    string
+	fixture func(testing.TB) (*relation.Catalog, chord.Message, []byte)
+}{
+	{kindJoin, codecFixture[joinMsg]},
+	{kindVLIndex, codecFixture[vlIndexMsg]},
+	{kindNotify, codecFixture[notifyMsg]},
+	{mJoinMsg{}.Kind(), codecFixture[mJoinMsg]},
+}
+
+// BenchmarkDecodeMessage measures decoding one message of each kind.
 func BenchmarkDecodeMessage(b *testing.B) {
-	for _, c := range []struct {
-		name  string
-		frame func(testing.TB) (*relation.Catalog, []byte)
-	}{
-		{kindJoin, decodeFixture[joinMsg]},
-		{kindVLIndex, decodeFixture[vlIndexMsg]},
-		{kindNotify, decodeFixture[notifyMsg]},
-		{mJoinMsg{}.Kind(), decodeFixture[mJoinMsg]},
-	} {
-		b.Run(c.name, func(b *testing.B) {
-			catalog, frame := c.frame(b)
+	for _, bc := range codecBenchCases {
+		b.Run(bc.name, func(b *testing.B) {
+			catalog, _, frame := bc.fixture(b)
 			var r wire.Reader
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -50,6 +53,58 @@ func BenchmarkDecodeMessage(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkEncodeMessage measures encoding one message of each kind into a
+// reused buffer, as the transport does.
+func BenchmarkEncodeMessage(b *testing.B) {
+	for _, bc := range codecBenchCases {
+		b.Run(bc.name, func(b *testing.B) {
+			_, msg, _ := bc.fixture(b)
+			var w wire.Buffer
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				w.Reset()
+				if err := EncodeMessage(&w, msg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// sizeSink keeps the compiler from discarding the measured MessageSize.
+var sizeSink int
+
+// BenchmarkMessageSize measures sizing one message of each kind, which
+// the byte ledger does once per hop.
+func BenchmarkMessageSize(b *testing.B) {
+	for _, bc := range codecBenchCases {
+		b.Run(bc.name, func(b *testing.B) {
+			_, msg, _ := bc.fixture(b)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sizeSink += MessageSize(msg)
+			}
+		})
+	}
+}
+
+// TestMessageSizeAllocs pins sizing at zero allocations for every message
+// type. The byte ledger sizes every hop, and a walk that passed its Codec
+// through a func value or an interface method would move the Codec to the
+// heap, costing one allocation per Size.
+func TestMessageSizeAllocs(t *testing.T) {
+	_, msgs := codecFixtures(t)
+	for _, msg := range msgs {
+		s := msg.(chord.Sizer)
+		s.Size() // memoize the tuple and query sizes
+		if got := testing.AllocsPerRun(100, func() { sizeSink += s.Size() + MessageSize(msg) }); got != 0 {
+			t.Errorf("sizing a %T allocates %.0f times, want 0", msg, got)
+		}
 	}
 }
 
@@ -80,7 +135,7 @@ func TestDecodeMultiJoinFrameAllocs(t *testing.T) {
 // more than ceiling times once the intern tables are warm.
 func assertDecodeAllocs[M chord.Message](t *testing.T, ceiling int) {
 	t.Helper()
-	catalog, frame := decodeFixture[M](t)
+	catalog, _, frame := codecFixture[M](t)
 	var r wire.Reader
 	decode := func() {
 		r.Reset(frame)

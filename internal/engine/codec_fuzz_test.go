@@ -10,7 +10,7 @@ import (
 
 // FuzzCodecRoundTrip throws arbitrary bytes at DecodeMessage. The
 // contract: never panic, never allocate proportionally to a forged length
-// prefix (the sliceCount guards), and every ACCEPTED message must
+// prefix (the wire.Count guard), and every ACCEPTED message must
 // re-encode to a stable canonical form — encode(decode(b)) decodes again
 // and re-encodes to the identical bytes. The seed corpus is one valid
 // encoding of every engine message type, plus a snapshot meta in the

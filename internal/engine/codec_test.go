@@ -2,6 +2,7 @@ package engine
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"cqjoin/internal/chord"
@@ -410,13 +411,13 @@ func TestSizeCacheInvalidatedOnCopy(t *testing.T) {
 		if !ok {
 			continue
 		}
-		if wireSize(al) != encodedLen(al) {
-			t.Fatalf("alIndexMsg: size %d != encoding %d", wireSize(al), encodedLen(al))
+		if MessageSize(al) != encodedLen(al) {
+			t.Fatalf("alIndexMsg: size %d != encoding %d", MessageSize(al), encodedLen(al))
 		}
 		// A pubT two varint-lengths away changes the tuple's encoded size.
 		cp := alIndexMsg{T: al.T.WithPubT(1 << 20), Attr: al.Attr, Replica: al.Replica}
-		if wireSize(cp) != encodedLen(cp) {
-			t.Fatalf("copied tuple: size %d != encoding %d", wireSize(cp), encodedLen(cp))
+		if MessageSize(cp) != encodedLen(cp) {
+			t.Fatalf("copied tuple: size %d != encoding %d", MessageSize(cp), encodedLen(cp))
 		}
 		return
 	}
@@ -442,10 +443,63 @@ func TestQuerySizeCacheInvalidatedOnCopy(t *testing.T) {
 	t.Fatal("no queryMsg fixture")
 }
 
+// encodedLen returns the length of msg's encoding, measured by encoding it.
+func encodedLen(msg chord.Message) int {
+	var w wire.Buffer
+	if err := EncodeMessage(&w, msg); err != nil {
+		return 0
+	}
+	return w.Len()
+}
+
 func querySizeByEncoding(q *query.Query) int {
 	var w wire.Buffer
 	wire.EncodeQuery(&w, q)
 	return w.Len()
+}
+
+// TestMessageTags checks the tag table: the tags are dense 1..N, each is
+// the first byte of the encodings of exactly one message type, a message
+// decodes to the type that encodes its tag, and a tag outside 1..N is
+// rejected.
+func TestMessageTags(t *testing.T) {
+	catalog, msgs := codecFixtures(t)
+	types := make(map[byte]reflect.Type)
+	for _, msg := range msgs {
+		var w wire.Buffer
+		if err := EncodeMessage(&w, msg); err != nil {
+			t.Fatalf("%T: encode: %v", msg, err)
+		}
+		tag := w.Bytes()[0]
+		if prev, ok := types[tag]; ok && prev != reflect.TypeOf(msg) {
+			t.Errorf("tag %d encodes both %v and %T", tag, prev, msg)
+		}
+		types[tag] = reflect.TypeOf(msg)
+		got, err := DecodeMessage(wire.NewReader(w.Bytes()), catalog)
+		if err != nil {
+			t.Fatalf("%T: decode: %v", msg, err)
+		}
+		if reflect.TypeOf(got) != reflect.TypeOf(msg) {
+			t.Errorf("tag %d decodes to %T, but %T encodes it", tag, got, msg)
+		}
+	}
+	for tag := 1; tag <= tagSnapMeta; tag++ {
+		if types[byte(tag)] == nil {
+			t.Errorf("tag %d: no message type encodes it", tag)
+		}
+	}
+	if len(types) != tagSnapMeta {
+		t.Errorf("%d tags in use, want the dense range 1..%d", len(types), tagSnapMeta)
+	}
+	for _, tag := range []uint64{0, tagSnapMeta + 1, 257} {
+		var w wire.Buffer
+		w.PutUvarint(tag)
+		w.PutUvarint(0)
+		_, err := DecodeMessage(wire.NewReader(w.Bytes()), catalog)
+		if err == nil || !strings.Contains(err.Error(), "unknown message tag") {
+			t.Errorf("tag %d: decode error %v, want an unknown-tag error", tag, err)
+		}
+	}
 }
 
 func TestDecodeUnknownTag(t *testing.T) {

@@ -232,7 +232,7 @@ func TestRetainedStatePerDelivery(t *testing.T) {
 	env.subscribe(t, 0, `SELECT R.A, S.D FROM R, S WHERE R.B = S.E`)
 	metaBytes := func() int {
 		meta, _ := env.eng.ExportSnapshot(nil)
-		return wireSize(meta)
+		return MessageSize(meta)
 	}
 	before := metaBytes()
 	for i := 0; i < 20; i++ {

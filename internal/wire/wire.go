@@ -15,6 +15,9 @@
 //	notif   := querykey:string subscriber:string n:uvarint value...
 //	          leftPubT:varint rightPubT:varint deliveredAt:varint
 //
+// Message layouts built from these pieces are written once, as walks over a
+// Codec (codec.go) that sizes, encodes or decodes them.
+//
 // Queries travel as their SQL text and are re-parsed against the catalog on
 // arrival; the parser is the single source of truth for query semantics.
 // Decoding interns parsed queries and tuple schemas (intern.go), so a
@@ -26,6 +29,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"strings"
 
 	"cqjoin/internal/query"
@@ -336,19 +340,16 @@ func DecodeQuery(r *Reader, catalog *relation.Catalog) (*query.Query, error) {
 	return q.WithRestoredIdentity(key, sub, ip, insT), nil
 }
 
-// The Size* functions below compute encoded lengths arithmetically,
-// without materializing any bytes. They must stay field-for-field in sync
-// with the Encode*/Put* counterparts above; engine/codec_test.go asserts
-// Size == len(Encode) for every message type.
+// The Size* functions below compute encoded lengths without materializing
+// any bytes. SizeTuple and SizeQuery must stay field-for-field in sync with
+// EncodeTuple and EncodeQuery; engine/codec_test.go asserts Size ==
+// len(Encode) for every message type, and the wire golden file pins the
+// bytes.
 
-// SizeUvarint returns the encoded length of an unsigned varint.
+// SizeUvarint returns the encoded length of an unsigned varint: one byte
+// per started group of seven significant bits, and one for zero.
 func SizeUvarint(v uint64) int {
-	n := 1
-	for v >= 0x80 {
-		v >>= 7
-		n++
-	}
-	return n
+	return (bits.Len64(v|1) + 6) / 7
 }
 
 // SizeVarint returns the encoded length of a signed (zig-zag) varint.
